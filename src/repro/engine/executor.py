@@ -99,6 +99,9 @@ class EvalResult:
     elapsed: float
     error: str | None = None
     semiring: Semiring | None = None
+    #: The physical plan that executed (``None`` for a query with no
+    #: atoms and for a failed request).
+    plan: QueryPlan | None = None
 
     @property
     def boolean(self) -> bool:
@@ -465,8 +468,10 @@ class Engine:
         capture = ambient if isinstance(ambient, Tracer) else Tracer()
         with tracing(capture):
             result = self.execute(query, db, backend=backend)
-        plan = self.plan(query, db, backend=backend)
-        return plan.render_analyzed(
+        if result.plan is None:
+            raise ValueError("cannot explain a query with no atoms")
+        # Render the plan that ran, never a re-planned (warm) one.
+        return result.plan.render_analyzed(
             capture, result.elapsed, len(result.answer)
         )
 
@@ -538,7 +543,7 @@ class Engine:
         self._record_request(result)
         if flight is not None:
             self._flight_request(
-                flight, result, kind, plan_sink, tracer, request_perf
+                flight, result, kind, tracer, request_perf
             )
         return result
 
@@ -666,7 +671,7 @@ class Engine:
                 answer = AnnotatedRelation.lift(answer, semiring)
         return EvalResult(
             query, answer, stats, hit, hd_width, method,
-            time.monotonic() - started, semiring=semiring,
+            time.monotonic() - started, semiring=semiring, plan=plan,
         )
 
     def _record_request(self, result: EvalResult) -> None:
@@ -693,14 +698,13 @@ class Engine:
         flight: FlightRecorder,
         result: EvalResult,
         kind: str,
-        plan_sink: list,
         tracer,
         request_perf: float,
     ) -> None:
         """One ring event per finished request (the metric delta the
         flight recorder keeps), plus the slow-query capture when the
         request crossed ``slow_query_ms``."""
-        plan = plan_sink[0] if plan_sink else None
+        plan = result.plan
         digest = plan.digest() if plan is not None else None
         elapsed_ms = result.elapsed * 1e3
         flight.record(

@@ -5,6 +5,16 @@ A cached (or freshly computed) hypertree decomposition fixes only the
 choices — cheap, polynomial-time, recomputed per request — on top of the
 Lemma 4.6 pipeline:
 
+* **Cartesian repair** — the one structural step (it reads the query and
+  the completed decomposition, never the data, so a plan stays a
+  function of both).  A node whose λ atoms, restricted to χ, split into
+  variable-disjoint groups would build its bag π_χ(⋈λ) as a Cartesian
+  product — the O(|r|^k) worst case of Lemma 4.6.  Such a node joins
+  every query atom with ``var(A) ⊆ χ`` as a filter; while that still
+  leaves the join disconnected, χ first widens by λ variables a tree
+  neighbour already holds that χ-cover more query atoms
+  (:func:`repair_cartesian`).  λ and the width are unchanged and
+  the tree stays a GHD; connected nodes are left exactly as they are.
 * **per-node join order** — each node's bag relation joins its λ atoms
   smallest-estimate first, preferring atoms sharing variables with the
   part already joined (System-R-style greedy, driven by
@@ -281,6 +291,107 @@ def _order_atoms(
     return order, estimates
 
 
+def _is_connected_join(atoms: list[Atom], chi: frozenset[Variable]) -> bool:
+    """True iff the atoms' variables inside *chi* form one connected join
+    (atoms with no variable in *chi* join as 0-ary filters)."""
+    rest = [vs for vs in (a.variables & chi for a in atoms) if vs]
+    reached = set(rest.pop()) if rest else set()
+    while rest:
+        linked = [vs for vs in rest if not reached.isdisjoint(vs)]
+        if not linked:
+            return False
+        for vs in linked:
+            reached |= vs
+            rest.remove(vs)
+    return True
+
+
+def _contributing(
+    lam: frozenset[Atom], chi: frozenset[Variable]
+) -> list[Atom]:
+    """The λ atoms that contribute to a bag over *chi*: those sharing a
+    variable with it, and ground atoms (0-ary filters)."""
+    return [a for a in lam if (a.variables & chi) or not a.variables]
+
+
+def repair_cartesian(
+    hd: HypertreeDecomposition,
+) -> tuple[HypertreeDecomposition, dict[int, tuple[Atom, ...]]]:
+    """Repair the nodes of a complete decomposition whose λ atoms,
+    restricted to χ, join as a Cartesian product.
+
+    A connected node is left exactly as it is.  A disconnected node *p*
+    is repaired in two steps:
+
+    (a) while λ(p) plus the query atoms inside χ(p) still join as a
+        Cartesian product, χ(p) widens by the first (by name)
+        ``v ∈ var(λ(p)) \\ χ(p)`` that a tree neighbour's χ already holds
+        and whose addition χ-covers another query atom.  ``χ ⊆ var(λ)``,
+        connectedness, coverage and λ — hence the width — are unchanged,
+        so the result is still a (generalized) hypertree decomposition.
+        Widening stops as soon as the join is connected: a wider χ
+        makes the bag a longer join (on the 4-cycle, the whole cycle
+        instead of a 2-path).
+    (b) every query atom ``A ∉ λ(p)`` with ``var(A) ⊆ χ(p)`` joins the
+        node's bag as a filter.  It removes only bag tuples the full join
+        removes anyway.
+
+    Returns the (possibly re-labelled) decomposition — node order and
+    tree shape are preserved — and the filter atoms per node index.  The
+    repair reads only the query and the decomposition, never the data.
+    """
+    nodes = hd.nodes
+    broken = [
+        i
+        for i, p in enumerate(nodes)
+        if not _is_connected_join(_contributing(p.lam, p.chi), p.chi)
+    ]
+    if not broken:
+        return hd, {}
+    index = {id(n): i for i, n in enumerate(nodes)}
+    neighbours: list[list[int]] = [[] for _ in nodes]
+    for i, p in enumerate(nodes):
+        for c in p.children:
+            neighbours[i].append(index[id(c)])
+            neighbours[index[id(c)]].append(i)
+    atoms = tuple(dict.fromkeys(hd.query.atoms))
+    chis = [p.chi for p in nodes]
+    filters: dict[int, tuple[Atom, ...]] = {}
+    for i in broken:
+        p = nodes[i]
+        chi = p.chi
+        candidates = sorted(p.lambda_variables - chi, key=lambda v: v.name)
+        while True:
+            covered = tuple(
+                a for a in atoms if a.variables <= chi and a not in p.lam
+            )
+            joined = _contributing(p.lam, chi) + list(covered)
+            if _is_connected_join(joined, chi):
+                break
+            widen = next(
+                (
+                    v
+                    for v in candidates
+                    if v not in chi
+                    and any(v in chis[j] for j in neighbours[i])
+                    and any(
+                        v in a.variables and a.variables <= chi | {v}
+                        for a in atoms
+                    )
+                ),
+                None,
+            )
+            if widen is None:
+                break
+            chi = chi | {widen}
+        chis[i] = chi
+        if covered:
+            filters[i] = covered
+    if any(chi != p.chi for chi, p in zip(chis, nodes)):
+        hd = hd.map_nodes(lambda n: (chis[index[id(n)]], n.lam))
+    return hd, filters
+
+
 def compile_plan(
     query: ConjunctiveQuery,
     db: Database | None,
@@ -357,7 +468,9 @@ def _compile_plan_traced(
     shard_threshold: int,
     layout: str,
 ) -> QueryPlan:
-    complete = hd if hd.is_complete else hd.complete()
+    complete, filters = repair_cartesian(
+        hd if hd.is_complete else hd.complete()
+    )
     estimator = CardinalityEstimator(db)
     domain = estimator.domain_size
 
@@ -367,11 +480,7 @@ def _compile_plan_traced(
     plans: list[NodePlan] = []
     for i, p in enumerate(nodes):
         chi_names = tuple(sorted(v.name for v in p.chi))
-        contributing = [
-            a
-            for a in p.lam
-            if (a.variables & p.chi) or not a.variables
-        ]
+        contributing = _contributing(p.lam, p.chi) + list(filters.get(i, ()))
         order, estimates = _order_atoms(contributing, estimator)
         bag_rows = 1.0
         joined_vars: frozenset[Variable] = frozenset()

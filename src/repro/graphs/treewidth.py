@@ -9,7 +9,9 @@ We implement treewidth from scratch:
   eliminated, ``tw(S) = min_{v∈S} max(tw(S−v), q(S−v, v))`` where
   ``q(S', v)`` counts the vertices outside ``S' ∪ {v}`` reachable from
   ``v`` through ``S'`` (the degree of ``v`` at its elimination point).
-  Exponential in ``|V|``; guarded to ≤ 22 vertices.
+  Exponential in ``|V|``; guarded to ≤ 22 vertices.  The search is
+  seeded with the heuristic upper bound: prefixes already that wide are
+  pruned, and a bound meeting the degeneracy lower bound skips the DP.
 * :func:`greedy_order` / :func:`width_of_order` — min-fill and min-degree
   elimination heuristics giving upper bounds (and the triangulations used
   by the tree-clustering baseline in :mod:`repro.csp.methods`).
@@ -83,6 +85,12 @@ def _exact_component(graph: Graph, max_vertices: int) -> int:
         )
     if n <= 1:
         return 0
+    # Seed the search with the greedy bound: a prefix whose width already
+    # reaches it cannot lead to a better order, so it is never expanded.
+    # When no prefix survives, the bound is optimal.
+    bound = treewidth_upper_bound(graph)
+    if bound <= degeneracy_lower_bound(graph):
+        return bound
     _, masks = _index_graph(graph)
     full = (1 << n) - 1
 
@@ -100,13 +108,15 @@ def _exact_component(graph: Graph, max_vertices: int) -> int:
                 v = bit.bit_length() - 1
                 degree = bin(_reachable_through(masks, n, s, v)).count("1")
                 new_width = max(width, degree)
+                if new_width >= bound:
+                    continue
                 t = s | bit
                 old = next_dp.get(t)
                 if old is None or new_width < old:
                     next_dp[t] = new_width
         dp = next_dp
-        # Prune dominated states lazily: keep as-is (states already minimal
-        # per subset by the min() above).
+        if not dp:
+            return bound
     return dp[full]
 
 

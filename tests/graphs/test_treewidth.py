@@ -145,6 +145,76 @@ class TestBoundsSandwich:
         assert exact_treewidth(g) <= ub
 
 
+def _unpruned_treewidth(graph) -> int:
+    """Reference: the plain subset DP over elimination prefixes, with no
+    bound seeding — what :func:`exact_treewidth` computed before the
+    greedy bound pruned it."""
+    best = 0
+    for comp in connected_components(graph):
+        vertices = sorted(comp, key=repr)
+        n = len(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        masks = [0] * n
+        for v in vertices:
+            for w in graph[v]:
+                masks[index[v]] |= 1 << index[w]
+
+        def degree(eliminated: int, v: int) -> int:
+            # Vertices outside eliminated ∪ {v} reachable from v through
+            # eliminated vertices only.
+            seen, stack, count = {v}, [v], 0
+            while stack:
+                u = stack.pop()
+                for w in range(n):
+                    if masks[u] >> w & 1 and w not in seen:
+                        seen.add(w)
+                        if eliminated >> w & 1:
+                            stack.append(w)
+                        else:
+                            count += 1
+            return count
+
+        dp = {0: 0}
+        for _ in range(n):
+            nxt: dict[int, int] = {}
+            for s, width in dp.items():
+                for v in range(n):
+                    if s >> v & 1:
+                        continue
+                    t = s | 1 << v
+                    w = max(width, degree(s, v))
+                    if w < nxt.get(t, n):
+                        nxt[t] = w
+            dp = nxt
+        best = max(best, dp[(1 << n) - 1])
+    return best
+
+
+class TestBoundSeededDP:
+    """The greedy-bound pruning never changes the exact answer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=10_000),
+        p=st.floats(min_value=0.1, max_value=0.9),
+    )
+    def test_matches_unpruned_dp(self, n, seed, p):
+        rng = random.Random(seed)
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < p
+        ]
+        g = graph_from_edges(edges, range(n))
+        assert exact_treewidth(g) == _unpruned_treewidth(g)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_unpruned_dp_on_grids(self, n):
+        assert exact_treewidth(_grid(n)) == _unpruned_treewidth(_grid(n)) == n
+
+
 class TestDerivedGraphs:
     def test_primal_graph_of_qn(self):
         q = qn(3)

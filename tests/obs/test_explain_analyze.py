@@ -132,6 +132,24 @@ class TestExplainAnalyze:
         assert "est ->" in text and "actual rows" in text
         assert "bag " in text  # per-node bag wall time
 
+    def test_analyze_renders_the_plan_that_executed(self):
+        """On a fresh engine the analyzed run plans cold; the rendering
+        must be that cold plan, not a warm re-plan through the cache."""
+        db = path_db()
+        with Engine() as engine:
+            text = engine.explain(parse_query(QUERY), db, analyze=True)
+        header = text.splitlines()[0]
+        assert header.startswith("plan for ")
+        assert "cached" not in header
+
+    def test_executed_plan_rides_on_the_result(self):
+        db = path_db()
+        with Engine() as engine:
+            cold = engine.execute(parse_query(QUERY), db)
+            warm = engine.execute(parse_query(QUERY), db)
+        assert cold.plan is not None and not cold.plan.cache_hit
+        assert warm.plan is not None and warm.plan.cache_hit
+
     def test_analyze_feeds_outer_ambient_tracer(self):
         """Under a CLI-style ambient tracer the analyze run records into
         it, so ``--trace`` exports include the analyzed execution."""
