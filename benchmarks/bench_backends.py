@@ -60,8 +60,6 @@ from repro.db import (
     bind_atom,
     enumerate_answers,
     full_reduce,
-    parallel_enumerate_answers,
-    parallel_full_reduce,
 )
 from repro.generators.families import path_query
 from repro.generators.workloads import random_database
@@ -141,18 +139,19 @@ def run_benchmark(
             )
             enum_times["sequential"] = t
 
+            counts = {node: workers for node in tree.nodes}
             for kind, ctx in backends.items():
                 t, par_reduced = _best_of(
-                    lambda rels: parallel_full_reduce(
-                        tree, rels, n_shards=workers, backend=ctx
+                    lambda rels: full_reduce(
+                        tree, rels, backend=ctx, shard_counts=counts
                     ),
                     bind,
                     repeats,
                 )
                 reduce_times[kind] = t
                 t, par_answers = _best_of(
-                    lambda rels: parallel_enumerate_answers(
-                        tree, rels, output, n_shards=workers, backend=ctx
+                    lambda rels: enumerate_answers(
+                        tree, rels, output, backend=ctx, shard_counts=counts
                     ),
                     bind,
                     repeats,

@@ -15,8 +15,8 @@ Three kernels run on identical freshly bound relations:
   join hash table on each call, per-row generator tuples included;
 * ``sequential`` — today's :mod:`repro.db.yannakakis` over memoised
   :class:`~repro.db.relation.Relation` indexes;
-* ``parallel@w`` — the sharded kernel (:mod:`repro.db.parallel`) with
-  ``w`` hash partitions over a ``w``-thread pool.
+* ``parallel@w`` — the same driver with ``w`` hash partitions per node
+  (``shard_counts``) over a ``w``-thread pool.
 
 Correctness is a hard gate: every kernel must produce identical results
 before any time is reported.  The headline number — asserted ≥ 2x by the
@@ -48,13 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.core.acyclicity import join_tree
 from repro.core.atoms import Atom, Variable
 from repro.core.query import ConjunctiveQuery
-from repro.db import (
-    bind_atom,
-    enumerate_answers,
-    full_reduce,
-    parallel_enumerate_answers,
-    parallel_full_reduce,
-)
+from repro.db import ThreadBackend, bind_atom, enumerate_answers, full_reduce
 from repro.db.relation import Relation
 from repro.generators.families import path_query
 from repro.generators.workloads import random_database
@@ -220,18 +214,21 @@ def run_benchmark(
         assert seed_answers.rows == seq_answers.rows
 
         for workers in WORKER_SWEEP:
+            counts = {node: workers for node in tree.nodes}
             with ThreadPoolExecutor(max_workers=workers) as pool:
+                backend = ThreadBackend(pool=pool)
                 t, par_reduced = _best_of(
-                    lambda rels: parallel_full_reduce(
-                        tree, rels, n_shards=workers, pool=pool
+                    lambda rels: full_reduce(
+                        tree, rels, backend=backend, shard_counts=counts
                     ),
                     bind,
                     repeats,
                 )
                 reduce_times[f"parallel@{workers}"] = t
                 t, par_answers = _best_of(
-                    lambda rels: parallel_enumerate_answers(
-                        tree, rels, output, n_shards=workers, pool=pool
+                    lambda rels: enumerate_answers(
+                        tree, rels, output, backend=backend,
+                        shard_counts=counts,
                     ),
                     bind,
                     repeats,

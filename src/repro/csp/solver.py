@@ -3,10 +3,12 @@
 * :func:`solve_backtracking` — chronological backtracking with MRV and
   forward checking; the classical exponential-time baseline.
 * :func:`solve_via_decomposition` — the paper's pipeline: translate to a
-  Boolean CQ (§6 equivalence), compute a hypertree decomposition, apply
-  the Lemma 4.6 transformation, run the Yannakakis full reducer, then read
-  a solution off the reduced join tree top-down (every reduced tuple
-  extends to a solution, so no backtracking is needed).
+  Boolean CQ (§6 equivalence), compute a hypertree decomposition, compile
+  it through the engine (:func:`repro.engine.plan.compile_plan`, whose
+  bags are the Lemma 4.6 transformation), run the Yannakakis full
+  reducer, then read a solution off the reduced join tree top-down
+  (every reduced tuple extends to a solution, so no backtracking is
+  needed).
 
 For bounded-hypertree-width constraint classes the second route is
 polynomial (Corollary 5.19 via the CSP equivalence) — experiment E17/E15
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 from ..core.detkdecomp import hypertree_width
 from ..core.hypertree import HypertreeDecomposition
-from ..db.evaluate import lemma46_transform
 from ..db.stats import EvalStats
 from ..db.yannakakis import full_reduce
+from ..engine.plan import compile_plan, materialise_bags
 from .problem import CSPInstance, Value
 
 
@@ -106,9 +108,10 @@ def solve_via_decomposition(
     db = csp.to_database()
     if hd is None:
         _, hd = hypertree_width(query)
-    transformed = lemma46_transform(query, db, hd, stats)
-    reduced = full_reduce(transformed.jt, transformed.relations, stats)
-    if any(not reduced[node] for node in transformed.jt.nodes):
+    plan = compile_plan(query, db, hd)
+    jt = plan.join_tree
+    reduced = full_reduce(jt, materialise_bags(plan, db, stats), stats)
+    if any(not reduced[node] for node in jt.nodes):
         return None
 
     # Top-down extraction: pick any root tuple, then a compatible tuple at
@@ -127,9 +130,9 @@ def solve_via_decomposition(
                 break
         else:  # pragma: no cover - impossible after full reduction
             return False
-        return all(descend(child) for child in transformed.jt.children(node))
+        return all(descend(child) for child in jt.children(node))
 
-    if not descend(transformed.jt.root):
+    if not descend(jt.root):
         return None
     for v in csp.variables:
         if v not in assignment:

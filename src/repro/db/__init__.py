@@ -30,12 +30,6 @@ from .naive import (
     naive_boolean_eval,
     naive_join_eval,
 )
-from .parallel import (
-    parallel_boolean_eval,
-    parallel_enumerate_answers,
-    parallel_full_reduce,
-    shard_key_for,
-)
 from .relation import Relation
 from .semiring import (
     COUNTING,
@@ -50,7 +44,15 @@ from .semiring import (
 )
 from .sharded import ShardedRelation
 from .stats import EvalStats
-from .yannakakis import boolean_eval, enumerate_answers, full_reduce
+from .yannakakis import (
+    boolean_eval,
+    enumerate_answers,
+    full_reduce,
+    parallel_boolean_eval,
+    parallel_enumerate_answers,
+    parallel_full_reduce,
+    shard_key_for,
+)
 
 __all__ = [
     "AnnotatedRelation",

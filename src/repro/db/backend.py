@@ -1090,14 +1090,12 @@ class ProcessBackend(ExecutionContext):
         return out
 
 
-def make_backend(
-    kind: str, workers: int = 4, pool: Executor | None = None
-) -> ExecutionContext:
+def make_backend(kind: str, workers: int = 4) -> ExecutionContext:
     """Construct a backend by kind name (``Engine``'s selector)."""
     if kind == "sequential":
         return SEQUENTIAL
     if kind == "thread":
-        return ThreadBackend(workers=workers, pool=pool)
+        return ThreadBackend(workers=workers)
     if kind == "process":
         return ProcessBackend(workers=workers)
     raise ValueError(

@@ -16,6 +16,13 @@ Each node relation is a join of ≤ k database relations, so
 experiment E08.  Evaluation then runs Yannakakis on ``JT``: Boolean
 (Theorem 4.7 / Corollary 5.19) or output-polynomial enumeration
 (Theorem 4.8 / Corollary 5.20).
+
+The decomposition method compiles through the engine: the
+decomposition becomes a :func:`repro.engine.plan.compile_plan` plan
+(Cartesian repair, per-bag join order, re-rooted join tree) run by
+:func:`repro.engine.plan.execute_plan`, and :func:`lemma46_transform`
+returns that plan's bags.  The naive and backtracking methods share no
+code with it and serve as its oracles.
 """
 
 from __future__ import annotations
@@ -32,12 +39,10 @@ from ..core.jointree import JoinTree
 from ..core.query import ConjunctiveQuery
 from .annotated import (
     AnnotatedRelation,
-    AnnotationAssignmentError,
-    assign_annotated_atoms,
     bind_atom_annotated,
     naive_annotated_eval,
 )
-from .binding import BoundQuery, bind_atom
+from .binding import BoundQuery
 from .database import Database
 from .naive import backtracking_eval, naive_boolean_eval, naive_join_eval
 from .relation import Relation
@@ -84,82 +89,41 @@ def lemma46_transform(
     db: Database,
     hd: HypertreeDecomposition,
     stats: EvalStats | None = None,
-    semiring: Semiring | None = None,
 ) -> Lemma46Result:
     """Construct ``⟨Q′, DB′, JT⟩`` from ``⟨Q, DB, HD⟩`` (Lemma 4.6).
 
-    With a *semiring*, node relations carry annotations: each distinct
-    query atom's annotation enters at exactly one node (its *carrier*,
-    picked by :func:`~repro.db.annotated.assign_annotated_atoms`; other
-    mentions join unannotated as pure filters).  Every part joined at a
-    node has attributes ⊆ χ(p) — carriers because assignment requires
-    ``var(A) ⊆ χ(p)``, the rest by pre-projection — so the bag-level
-    projection never ``plus``-folds; all variable elimination happens in
-    the enumeration pass, once per variable by χ-connectedness.  Raises
-    :class:`AnnotationAssignmentError` when no assignment exists (the
-    caller falls back to naive annotated evaluation)."""
+    The engine's plan is the construction: :func:`compile_plan` completes
+    and repairs *hd* and orders each node's joins, and
+    :func:`materialise_bags` builds the node relations.  ``JT`` is the
+    plan's join tree (mirroring the decomposition, rooted at the
+    largest estimated bag)."""
+    from ..engine.plan import compile_plan, materialise_bags
+
     stats = stats if stats is not None else EvalStats()
-    complete = hd if hd.is_complete else hd.complete()
+    plan = compile_plan(query, db, hd)
+    relations = materialise_bags(plan, db, stats)
+    bags = tuple(np.bag for np in plan.node_plans)
+    qprime = ConjunctiveQuery(bags, query.head_terms, f"{query.name}'")
+    node_of_atom = dict(zip(bags, plan.decomposition.nodes))
+    return Lemma46Result(qprime, plan.join_tree, relations, node_of_atom, stats)
 
-    fresh_atoms: dict[int, Atom] = {}
-    relations: dict[Atom, Relation] = {}
-    node_of_atom: dict[Atom, HTNode] = {}
-    nodes = complete.nodes
-    node_ids = {id(n): i for i, n in enumerate(nodes)}
 
-    assignment: dict[Atom, int] | None = None
-    if semiring is not None:
-        assignment = assign_annotated_atoms(
-            [(tuple(p.lam), p.chi) for p in nodes], query.atoms
-        )
-        if assignment is None:
-            raise AnnotationAssignmentError(
-                f"decomposition of {query.name} admits no once-per-atom "
-                "annotation assignment"
-            )
+def _via_plan(
+    query: ConjunctiveQuery,
+    db: Database,
+    hd: HypertreeDecomposition | None,
+    stats: EvalStats,
+    semiring: Semiring | None = None,
+) -> Relation:
+    """The decomposition method: compile *hd* (by default the
+    :func:`~repro.core.detkdecomp.hypertree_width` decomposition) into
+    an engine plan and execute it."""
+    from ..engine.plan import compile_plan, execute_plan
 
-    for i, p in enumerate(nodes):
-        chi_names = tuple(sorted(v.name for v in p.chi))
-        if semiring is not None:
-            rel: Relation = AnnotatedRelation.unit(semiring, f"n{i}")
-        else:
-            rel = Relation((), frozenset({()}), f"n{i}")
-        for a in sorted(p.lam, key=str):
-            overlap = a.variables & p.chi
-            if not overlap and a.variables:
-                continue  # contributes no χ(p) bindings (Lemma 4.6 case split)
-            if assignment is not None and assignment.get(a) == i:
-                part: Relation = bind_atom_annotated(a, db, semiring)
-            else:
-                part = bind_atom(a, db)
-            if not a.variables <= p.chi:
-                part = part.project(
-                    [v.name for v in sorted(overlap, key=lambda x: x.name)]
-                )
-                stats.projections += 1
-            rel = rel.join(part)
-            stats.joins += 1
-            stats.record(rel)
-        rel = stats.record(rel.project(chi_names, name=f"n{i}"))
-        stats.projections += 1
-        atom = Atom(f"n{i}", tuple(Variable(a) for a in chi_names))
-        fresh_atoms[i] = atom
-        relations[atom] = rel
-        node_of_atom[atom] = p
-
-    children_map: dict[Atom, tuple[Atom, ...]] = {}
-    for i, p in enumerate(nodes):
-        kids = tuple(fresh_atoms[node_ids[id(c)]] for c in p.children)
-        if kids:
-            children_map[fresh_atoms[i]] = kids
-    jt = JoinTree(fresh_atoms[0], children_map)
-
-    qprime = ConjunctiveQuery(
-        tuple(fresh_atoms[i] for i in range(len(nodes))),
-        query.head_terms,
-        f"{query.name}'",
-    )
-    return Lemma46Result(qprime, jt, relations, node_of_atom, stats)
+    if hd is None:
+        _, hd = hypertree_width(query.as_boolean())
+    plan = compile_plan(query, db, hd)
+    return execute_plan(plan, db, stats, semiring=semiring)
 
 
 def evaluate_boolean(
@@ -176,7 +140,7 @@ def evaluate_boolean(
     ``"decomposition"``
         The paper's pipeline: hypertree decomposition (computed with
         :func:`~repro.core.detkdecomp.hypertree_width` when *hd* is not
-        supplied) → Lemma 4.6 transformation → Boolean Yannakakis.
+        supplied) → engine plan (Lemma 4.6 bags) → Boolean Yannakakis.
     ``"yannakakis"``
         Direct Yannakakis; requires the query to be acyclic.
     ``"naive"`` / ``"backtracking"``
@@ -200,10 +164,7 @@ def evaluate_boolean(
         bound = BoundQuery.bind(query, db)
         return boolean_eval(jt, bound.relations, stats)
     if method == "decomposition":
-        if hd is None:
-            _, hd = hypertree_width(query)
-        transformed = lemma46_transform(query, db, hd, stats)
-        return boolean_eval(transformed.jt, transformed.relations, stats)
+        return bool(_via_plan(query, db, hd, stats))
     raise ValueError(f"unknown evaluation method {method!r}")
 
 
@@ -266,15 +227,5 @@ def evaluate(
         bound = BoundQuery.bind(query, db)
         return enumerate_answers(jt, bound.relations, head, stats)
     if method == "decomposition":
-        if hd is None:
-            _, hd = hypertree_width(query.as_boolean())
-        try:
-            transformed = lemma46_transform(
-                query, db, hd, stats, semiring=semiring
-            )
-        except AnnotationAssignmentError:
-            return naive_annotated_eval(query, db, semiring, stats)
-        return enumerate_answers(
-            transformed.jt, transformed.relations, head, stats
-        )
+        return _via_plan(query, db, hd, stats, semiring)
     raise ValueError(f"unknown evaluation method {method!r}")

@@ -48,28 +48,9 @@ from typing import Iterator, Sequence
 from .._errors import SchemaError
 from ..obs import get_registry
 from .annotated import AnnotatedRelation
-from .backend import (
-    SEQUENTIAL,
-    ExecutionContext,
-    RemoteShard,
-    ThreadBackend,
-)
+from .backend import SEQUENTIAL, ExecutionContext, RemoteShard
 from .columnar import ColumnarRelation, partition_columnar
 from .relation import Relation, Row, Value
-
-
-def as_context(backend=None, pool=None) -> ExecutionContext:
-    """Normalise the two ways callers hand us parallelism.
-
-    *backend* wins; a bare ``concurrent.futures`` executor (*pool*, the
-    pre-backend API kept for compatibility) is wrapped in a non-owning
-    :class:`~repro.db.backend.ThreadBackend`; neither means inline.
-    """
-    if backend is not None:
-        return backend
-    if pool is not None:
-        return ThreadBackend(pool=pool)
-    return SEQUENTIAL
 
 
 def _result_context(
@@ -206,71 +187,18 @@ class ShardedRelation:
             # Columnar partition kernel: selection vectors per shard,
             # dictionary keys hashed once per pool entry, buffers
             # carved without materialising row tuples.
-            pieces, heavy = partition_columnar(
+            shards, heavy = partition_columnar(
                 relation, i, n_shards, stable_hash, skew_factor
             )
-            if heavy:
-                registry = get_registry()
-                registry.counter("shard.skew_guard_activations").inc()
-                registry.counter("shard.heavy_hitters").inc(len(heavy))
-            if backend is not None and backend.kind == "process":
-                pieces = tuple(
-                    backend.map_shards(
-                        "identity",
-                        [(s,) for s in pieces],
-                        keep=True,
-                        out_attributes=relation.attributes,
-                        out_name=relation.name,
-                    )
-                )
-                return ShardedRelation(
-                    relation.attributes, key, pieces, relation.name,
-                    heavy=heavy, context=backend,
-                )
-            return ShardedRelation(
-                relation.attributes, key, pieces, relation.name, heavy=heavy
-            )
-        buckets: list[list[Row]] = [[] for _ in range(n_shards)]
-        appends = [b.append for b in buckets]
-        _hash = stable_hash
-        for row in relation.rows:
-            appends[_hash(row[i]) % n_shards](row)
-        heavy: frozenset = frozenset()
-        threshold = skew_factor * len(relation.rows) / n_shards
-        if relation.rows and max(len(b) for b in buckets) > threshold:
-            heavy = _heavy_hitters(buckets, i, threshold)
-            if heavy:
-                get_registry().counter(
-                    "shard.skew_guard_activations"
-                ).inc()
-                get_registry().counter("shard.heavy_hitters").inc(
-                    len(heavy)
-                )
-                buckets = _spread_heavy(
-                    relation.rows, i, heavy, n_shards
-                )
-        annotations = getattr(relation, "annotations", None)
-        if annotations is not None:
-            # Annotated input: each piece carves out its rows' slice of
-            # the annotation map (rows partition, so slices are disjoint
-            # and gather's plus-merge is a plain dict union).
-            shards: tuple = tuple(
-                AnnotatedRelation.make(
-                    relation.attributes,
-                    frozenset(b),
-                    relation.name,
-                    relation.semiring,
-                    {row: annotations[row] for row in b},
-                )
-                for b in buckets
-            )
         else:
-            shards = tuple(
-                Relation.trusted(
-                    relation.attributes, frozenset(b), relation.name
-                )
-                for b in buckets
+            shards, heavy = _partition_rows(
+                relation, i, n_shards, skew_factor
             )
+        if heavy:
+            registry = get_registry()
+            registry.counter("shard.skew_guard_activations").inc()
+            registry.counter("shard.heavy_hitters").inc(len(heavy))
+        context = None
         if backend is not None and backend.kind == "process":
             shards = tuple(
                 backend.map_shards(
@@ -281,12 +209,10 @@ class ShardedRelation:
                     out_name=relation.name,
                 )
             )
-            return ShardedRelation(
-                relation.attributes, key, shards, relation.name,
-                heavy=heavy, context=backend,
-            )
+            context = backend
         return ShardedRelation(
-            relation.attributes, key, shards, relation.name, heavy=heavy
+            relation.attributes, key, tuple(shards), relation.name,
+            heavy=heavy, context=context,
         )
 
     # -- views ------------------------------------------------------------
@@ -311,12 +237,12 @@ class ShardedRelation:
     def rows(self) -> frozenset[Row]:
         return self.to_relation().rows
 
-    def _ctx(self, backend=None, pool=None) -> ExecutionContext:
+    def _ctx(self, backend=None) -> ExecutionContext:
         """The context operations must run on: remote pieces pin their
         owning backend; otherwise the caller's choice (or inline)."""
         if self.context is not None:
             return self.context
-        return as_context(backend, pool)
+        return backend if backend is not None else SEQUENTIAL
 
     def to_relation(self) -> Relation:
         """Coalesce the shards back into one plain relation (memoised).
@@ -380,12 +306,11 @@ class ShardedRelation:
         self,
         other: "ShardedRelation | Relation",
         backend: ExecutionContext | None = None,
-        pool=None,
     ) -> "ShardedRelation":
         """⋉ shard-wise: pairwise against an aligned partner, otherwise
         every shard against the partner's one memoised key set (scattered
         to the workers at most once per partner)."""
-        ctx = self._ctx(backend, pool)
+        ctx = self._ctx(backend)
         keep = ctx.kind == "process"
         if not other:
             empty = Relation.trusted(self.attributes, frozenset(), self.name)
@@ -432,12 +357,11 @@ class ShardedRelation:
         other: "ShardedRelation | Relation",
         name: str | None = None,
         backend: ExecutionContext | None = None,
-        pool=None,
     ) -> "ShardedRelation":
         """⋈ shard-wise; the result stays sharded on this side's key
         (every output row extends one of this side's rows, so the key
         column — and with it the partition — is preserved)."""
-        ctx = self._ctx(backend, pool)
+        ctx = self._ctx(backend)
         keep = ctx.kind == "process"
         shared = tuple(a for a in self.attributes if a in other.attributes)
         here = set(self.attributes)
@@ -483,7 +407,6 @@ class ShardedRelation:
         attributes: Sequence[str],
         name: str | None = None,
         backend: ExecutionContext | None = None,
-        pool=None,
     ) -> "ShardedRelation | Relation":
         """π shard-wise; the result stays sharded when the shard key
         survives (rows equal after projection then agree on the key, so
@@ -492,7 +415,7 @@ class ShardedRelation:
         hitters, whose equal-after-projection rows may straddle shards —
         still projects shard-wise, with the final union of the (smaller)
         projected shards performing the cross-shard dedup."""
-        ctx = self._ctx(backend, pool)
+        ctx = self._ctx(backend)
         attrs = tuple(attributes)
         out_name = name or self.name
         tasks = [(shard, attrs, name) for shard in self.shards]
@@ -516,6 +439,43 @@ class ShardedRelation:
             f"{self.name}({', '.join(self.attributes)}) "
             f"[{len(self)} rows @ {self.key}: {sizes}{spread}]"
         )
+
+
+def _partition_rows(
+    relation: Relation, i: int, n_shards: int, skew_factor: float
+) -> tuple[tuple, frozenset]:
+    """Hash-partition a row relation on column *i*; returns the pieces
+    and the heavy-hitter key values whose rows were spread."""
+    buckets: list[list[Row]] = [[] for _ in range(n_shards)]
+    appends = [b.append for b in buckets]
+    _hash = stable_hash
+    for row in relation.rows:
+        appends[_hash(row[i]) % n_shards](row)
+    heavy: frozenset = frozenset()
+    threshold = skew_factor * len(relation.rows) / n_shards
+    if relation.rows and max(len(b) for b in buckets) > threshold:
+        heavy = _heavy_hitters(buckets, i, threshold)
+        if heavy:
+            buckets = _spread_heavy(relation.rows, i, heavy, n_shards)
+    annotations = getattr(relation, "annotations", None)
+    if annotations is not None:
+        # Annotated input: each piece carves out its rows' slice of the
+        # annotation map (rows partition, so slices are disjoint and
+        # gather's plus-merge is a plain dict union).
+        return tuple(
+            AnnotatedRelation.make(
+                relation.attributes,
+                frozenset(b),
+                relation.name,
+                relation.semiring,
+                {row: annotations[row] for row in b},
+            )
+            for b in buckets
+        ), heavy
+    return tuple(
+        Relation.trusted(relation.attributes, frozenset(b), relation.name)
+        for b in buckets
+    ), heavy
 
 
 def _heavy_hitters(

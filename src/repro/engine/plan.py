@@ -41,9 +41,14 @@ Lemma 4.6 pipeline:
   whose per-call overhead is lower.  Annotated (semiring) requests
   always stay row: the per-row annotation maps are the point.
 
-Execution materialises the bags in plan order, then runs the Yannakakis
-passes — sequentially, or over the selected execution backend
-(:mod:`repro.db.backend`) with the plan's shard assignment.  A deadline
+Execution is one pipeline for every entry point — ``Engine``,
+``evaluate``/``evaluate_boolean``, the CSP solver and
+``lemma46_transform`` all compile here.  :func:`materialise_bags` builds
+each bag with :func:`_materialise_bag`, the only Lemma 4.6 bag builder,
+then the one Yannakakis driver (:mod:`repro.db.yannakakis`) runs its
+passes with the plan's shard assignment: unsharded nodes as plain
+relations, sharded ones over the selected execution backend
+(:mod:`repro.db.backend`).  A deadline
 is checked between operators so per-request budgets interrupt long plans
 with :class:`repro._errors.BudgetExceeded` (under the process backend
 the check sits between operators on the coordinating side; an individual
@@ -75,14 +80,15 @@ from ..db.columnar import (
     to_columnar,
 )
 from ..db.database import Database
-from ..db.parallel import (
-    parallel_boolean_eval,
-    parallel_enumerate_answers,
-)
 from ..db.relation import Relation
 from ..db.semiring import Semiring
 from ..db.stats import CardinalityEstimator, EvalStats
-from ..db.yannakakis import boolean_eval, enumerate_answers
+from ..db.yannakakis import (  # noqa: F401 -- parallel_* are traced aliases
+    boolean_eval,
+    enumerate_answers,
+    parallel_boolean_eval,
+    parallel_enumerate_answers,
+)
 from ..obs import Tracer, current_tracer, get_registry
 
 #: Estimated bag cardinality below which a node is never sharded: the
@@ -632,17 +638,14 @@ def execute_plan(
     short-circuiting, so the () row's annotation is the query total).
     """
     stats = stats if stats is not None else EvalStats()
-    counts = plan.shard_counts
-    own = False
-    if backend is not None:
-        ctx: ExecutionContext | None = backend
-    elif plan.backend != "sequential" and any(
-        n > 1 for n in counts.values()
-    ):
+    ctx = backend
+    own = (
+        ctx is None
+        and plan.backend != "sequential"
+        and any(n > 1 for n in plan.shard_counts.values())
+    )
+    if own:
         ctx = make_backend(plan.backend, plan.workers)
-        own = True
-    else:
-        ctx = None
     try:
         with current_tracer().span(
             "plan.execute",
@@ -651,13 +654,59 @@ def execute_plan(
             nodes=len(plan.node_plans),
         ) as sp:
             answer = _execute_with_context(
-                plan, db, stats, deadline, ctx, counts, semiring
+                plan, db, stats, deadline, ctx, semiring
             )
             sp.set(rows=len(answer))
         return answer
     finally:
-        if own and ctx is not None:
+        if own:
             ctx.close()
+
+
+def materialise_bags(
+    plan: QueryPlan,
+    db: Database,
+    stats: EvalStats,
+    deadline: float | None = None,
+    ctx: ExecutionContext | None = None,
+    semiring: Semiring | None = None,
+    carriers_of: dict[int, frozenset[Atom]] | None = None,
+) -> dict[Atom, Relation]:
+    """The Lemma 4.6 bag relations of *plan*, keyed by bag atom.
+
+    *carriers_of* maps a node index to the atoms whose annotations enter
+    at that node (semiring runs only).  A thread backend with more than
+    one worker builds the bags concurrently."""
+    carriers_of = carriers_of or {}
+    jobs = list(enumerate(zip(plan.node_plans, plan.decomposition.nodes)))
+    # Only the thread backend fans bags out (bag pipelines close over the
+    # database, which must not cross a process boundary).  Each task then
+    # keeps private stats (EvalStats is not thread-safe), merged after.
+    fan_out = (
+        ctx is not None
+        and ctx.kind == "thread"
+        and ctx.workers > 1
+        and len(jobs) > 1
+    )
+
+    def one(
+        job: tuple[int, tuple[NodePlan, HTNode]],
+    ) -> tuple[Relation, EvalStats]:
+        i, (np, p) = job
+        local = EvalStats() if fan_out else stats
+        rel = _materialise_bag(
+            np, p, db, local, deadline, semiring,
+            carriers_of.get(i, frozenset()),
+        )
+        return rel, local
+
+    produced = ctx.map_local(one, jobs) if fan_out else map(one, jobs)
+    relations: dict[Atom, Relation] = {}
+    for (_, (np, _)), (rel, local) in zip(jobs, produced):
+        relations[np.bag] = rel
+        if fan_out:
+            stats.merge(local)
+    return relations
 
 
 def _execute_with_context(
@@ -666,14 +715,15 @@ def _execute_with_context(
     stats: EvalStats,
     deadline: float | None,
     ctx: ExecutionContext | None,
-    counts: dict[Atom, int],
     semiring: Semiring | None = None,
 ) -> Relation:
-    node_pairs = list(zip(plan.node_plans, plan.decomposition.nodes))
     carriers_of: dict[int, frozenset[Atom]] = {}
     if semiring is not None:
         assignment = assign_annotated_atoms(
-            [(np.join_order, p.chi) for np, p in node_pairs],
+            [
+                (np.join_order, p.chi)
+                for np, p in zip(plan.node_plans, plan.decomposition.nodes)
+            ],
             plan.query.atoms,
         )
         if assignment is None:
@@ -682,69 +732,21 @@ def _execute_with_context(
             return naive_annotated_eval(plan.query, db, semiring, stats)
         for atom, i in assignment.items():
             carriers_of[i] = carriers_of.get(i, frozenset()) | {atom}
-    if (
-        ctx is not None
-        and ctx.kind == "thread"
-        and ctx.workers > 1
-        and len(node_pairs) > 1
-    ):
-        # One task per bag; each task keeps private stats (EvalStats is
-        # not thread-safe) merged once the fan-out completes.  Only the
-        # thread backend fans bags out: bag pipelines close over the
-        # database, which must not cross a process boundary.
-        def one(
-            job: tuple[int, tuple[NodePlan, HTNode]],
-        ) -> tuple[Relation, EvalStats]:
-            i, (np, p) = job
-            local = EvalStats()
-            rel = _materialise_bag(
-                np, p, db, local, deadline, semiring,
-                carriers_of.get(i, frozenset()),
-            )
-            return rel, local
-
-        produced = ctx.map_local(one, list(enumerate(node_pairs)))
-        relations: dict[Atom, Relation] = {}
-        for (np, _), (rel, local) in zip(node_pairs, produced):
-            relations[np.bag] = rel
-            stats.merge(local)
-    else:
-        relations = {
-            np.bag: _materialise_bag(
-                np, p, db, stats, deadline, semiring,
-                carriers_of.get(i, frozenset()),
-            )
-            for i, (np, p) in enumerate(node_pairs)
-        }
+    relations = materialise_bags(
+        plan, db, stats, deadline, ctx, semiring, carriers_of
+    )
 
     _check_deadline(deadline, "Yannakakis passes")
-    sharded = ctx is not None and any(counts[np.bag] > 1 for np, _ in node_pairs)
-    if not plan.output:
-        if semiring is not None:
-            # Annotated Boolean queries enumerate the 0-ary answer: the
-            # () row's annotation is the semiring total; boolean_eval's
-            # short-circuit would drop it.
-            if sharded:
-                return parallel_enumerate_answers(
-                    plan.join_tree, relations, (), stats,
-                    backend=ctx, shard_counts=counts,
-                )
-            return enumerate_answers(plan.join_tree, relations, (), stats)
-        if sharded:
-            true = parallel_boolean_eval(
-                plan.join_tree, relations, stats,
-                backend=ctx, shard_counts=counts,
-            )
-        else:
-            true = boolean_eval(plan.join_tree, relations, stats)
-        return Relation.trusted((), frozenset({()} if true else ()), "ans")
-    if sharded:
-        return parallel_enumerate_answers(
-            plan.join_tree,
-            relations,
-            plan.output,
-            stats,
-            backend=ctx,
-            shard_counts=counts,
+    if not plan.output and semiring is None:
+        true = boolean_eval(
+            plan.join_tree, relations, stats,
+            backend=ctx, shard_counts=plan.shard_counts,
         )
-    return enumerate_answers(plan.join_tree, relations, plan.output, stats)
+        return Relation.trusted((), frozenset({()} if true else ()), "ans")
+    # Annotated Boolean queries enumerate the 0-ary answer too: the ()
+    # row's annotation is the semiring total, which boolean_eval's
+    # short-circuit would drop.
+    return enumerate_answers(
+        plan.join_tree, relations, plan.output, stats,
+        backend=ctx, shard_counts=plan.shard_counts,
+    )

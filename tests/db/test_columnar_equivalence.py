@@ -2,10 +2,10 @@
 
 The row engine is the oracle.  For every random database and query
 family, each operator (semijoin / join / project) must produce the same
-row set whether the operands are row or columnar, and the sharded
-Yannakakis passes must agree with the sequential row oracle when run
-with ``layout="columnar"`` across every execution backend
-(inline / thread pool / worker processes) × shard count in {1, 2, 7}.
+row set whether the operands are row or columnar, and the Yannakakis
+passes over columnar node relations must agree with the row run and
+with the naive join across every execution backend (inline / thread
+pool / worker processes) × shard count in {1, 2, 7}.
 
 Backends are shared module-scoped (a process pool per hypothesis
 example would dominate the suite's runtime); ``SHM_MIN_ROWS`` is forced
@@ -28,9 +28,7 @@ from repro.db import (
     boolean_eval,
     enumerate_answers,
     full_reduce,
-    parallel_boolean_eval,
-    parallel_enumerate_answers,
-    parallel_full_reduce,
+    naive_join_eval,
     to_columnar,
 )
 from repro.db import backend as backend_mod
@@ -80,6 +78,27 @@ def _with_head(query: ConjunctiveQuery, k: int = 2) -> ConjunctiveQuery:
 def _tree_and_relations(query, db):
     tree = join_tree(query)
     return tree, {a: bind_atom(a, db) for a in query.atoms}
+
+
+def _columnar(rels: dict) -> dict:
+    return {node: to_columnar(rel) for node, rel in rels.items()}
+
+
+def _counts(tree, shards: int) -> dict:
+    return {node: shards for node in tree.nodes}
+
+
+def _oracle(query, db, tree, rels):
+    """The naive join's answers, truth value, and per-node projections
+    of the full join (what the full reducer must leave at each node)."""
+    full = naive_join_eval(
+        query.with_head(sorted(query.variables, key=lambda v: v.name)), db
+    )
+    reduced = {
+        node: full.project(list(rels[node].attributes)).rows
+        for node in tree.nodes
+    }
+    return naive_join_eval(query, db).rows, bool(full), reduced
 
 
 class TestOperatorEquivalence:
@@ -150,8 +169,8 @@ class TestOperatorEquivalence:
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
 class TestShardedColumnarEquivalence:
-    """The sharded Yannakakis passes under ``layout="columnar"`` agree
-    with the sequential row oracle on every backend × shard count."""
+    """The Yannakakis passes over columnar node relations agree with the
+    row run and the naive join on every backend × shard count."""
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -167,27 +186,31 @@ class TestShardedColumnarEquivalence:
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
 
+        answers, truth, naive_reduced = _oracle(query, db, tree, rels)
         seq_bool = boolean_eval(tree, dict(rels))
         seq_reduced = full_reduce(tree, dict(rels))
         seq_answers = enumerate_answers(tree, dict(rels), output)
+        assert seq_bool == truth
+        assert seq_answers.rows == answers
+        for node in tree.nodes:
+            assert seq_reduced[node].rows == naive_reduced[node]
         for shards in SHARD_COUNTS:
+            counts = _counts(tree, shards)
             assert (
-                parallel_boolean_eval(
-                    tree, dict(rels), n_shards=shards, backend=ctx,
-                    layout="columnar",
+                boolean_eval(
+                    tree, _columnar(rels), backend=ctx, shard_counts=counts
                 )
                 == seq_bool
             )
-            par_reduced = parallel_full_reduce(
-                tree, dict(rels), n_shards=shards, backend=ctx,
-                layout="columnar",
+            par_reduced = full_reduce(
+                tree, _columnar(rels), backend=ctx, shard_counts=counts
             )
             for node in tree.nodes:
                 assert par_reduced[node].rows == seq_reduced[node].rows
             assert (
-                parallel_enumerate_answers(
-                    tree, dict(rels), output, n_shards=shards, backend=ctx,
-                    layout="columnar",
+                enumerate_answers(
+                    tree, _columnar(rels), output, backend=ctx,
+                    shard_counts=counts,
                 ).rows
                 == seq_answers.rows
             )
@@ -206,18 +229,22 @@ class TestShardedColumnarEquivalence:
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
 
+        answers, truth, _ = _oracle(query, db, tree, rels)
         seq_bool = boolean_eval(tree, dict(rels))
         seq_answers = enumerate_answers(tree, dict(rels), output)
+        assert seq_bool == truth
+        assert seq_answers.rows == answers
+        counts = _counts(tree, 3)
         assert (
-            parallel_boolean_eval(
-                tree, dict(rels), n_shards=3, backend=ctx, layout="columnar"
+            boolean_eval(
+                tree, _columnar(rels), backend=ctx, shard_counts=counts
             )
             == seq_bool
         )
         assert (
-            parallel_enumerate_answers(
-                tree, dict(rels), output, n_shards=3, backend=ctx,
-                layout="columnar",
+            enumerate_answers(
+                tree, _columnar(rels), output, backend=ctx,
+                shard_counts=counts,
             ).rows
             == seq_answers.rows
         )
@@ -235,10 +262,11 @@ class TestShardedColumnarEquivalence:
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
         seq_answers = enumerate_answers(tree, dict(rels), output)
+        assert seq_answers.rows == naive_join_eval(query, db).rows
         assert (
-            parallel_enumerate_answers(
-                tree, dict(rels), output, n_shards=4, backend=ctx,
-                layout="columnar",
+            enumerate_answers(
+                tree, _columnar(rels), output, backend=ctx,
+                shard_counts=_counts(tree, 4),
             ).rows
             == seq_answers.rows
         )
@@ -257,6 +285,7 @@ class TestEngineLayoutEquivalence:
         query = _with_head(path_query(3))
         db = random_database(query, domain, tuples, seed=seed)
         seq = Engine(mode="heuristic", layout="row").execute(query, db)
+        assert seq.answer.rows == naive_join_eval(query, db).rows
         for layout in ("columnar", "auto"):
             got = Engine(mode="heuristic", layout=layout).execute(query, db)
             assert got.answer.rows == seq.answer.rows
@@ -268,6 +297,7 @@ class TestEngineLayoutEquivalence:
         query = _with_head(path_query(3))
         db = random_database(query, 8, 60, seed=3, plant_answer=True)
         seq = Engine(mode="heuristic", layout="row").execute(query, db)
+        assert seq.answer.rows == naive_join_eval(query, db).rows
         for kind in ("thread", "process"):
             with Engine(
                 mode="heuristic", backend=kind, backend_workers=2,

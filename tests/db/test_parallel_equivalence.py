@@ -1,12 +1,15 @@
-"""Property suite: the sharded parallel kernel ≡ the sequential kernel.
+"""Property suite: the sharded Yannakakis driver ≡ the naive join.
 
-Sequential semantics are the oracle.  For every database, query family
+The naive join is the independent oracle; the one-shard run of the same
+driver is the sequential reference.  For every database, query family
 (path / star / cyclic), *execution backend* (inline / thread pool /
 worker processes) and shard count in {1, 2, 7}:
 
-* ``parallel_boolean_eval`` agrees with ``boolean_eval``,
-* ``parallel_full_reduce`` agrees with ``full_reduce`` node for node,
-* ``parallel_enumerate_answers`` agrees with ``enumerate_answers``,
+* ``boolean_eval`` agrees with the naive join's truth value,
+* ``full_reduce`` leaves each node exactly the projection of the naive
+  full join onto that node's attributes,
+* ``enumerate_answers`` agrees with the naive answers,
+* every shard count agrees with the one-shard run,
 * the engine's backend selection agrees with the sequential engine
   (which is how cyclic queries are covered: they evaluate through the
   Lemma 4.6 bag transform, not a direct join tree),
@@ -32,9 +35,7 @@ from repro.db import (
     boolean_eval,
     enumerate_answers,
     full_reduce,
-    parallel_boolean_eval,
-    parallel_enumerate_answers,
-    parallel_full_reduce,
+    naive_join_eval,
 )
 from repro.engine import Engine
 from repro.generators.families import cycle_query, path_query
@@ -74,6 +75,23 @@ def _tree_and_relations(query, db):
     return tree, {a: bind_atom(a, db) for a in query.atoms}
 
 
+def _counts(tree, shards: int) -> dict:
+    return {node: shards for node in tree.nodes}
+
+
+def _oracle(query, db, tree, rels):
+    """The naive join's answers, truth value, and per-node projections
+    of the full join (what the full reducer must leave at each node)."""
+    full = naive_join_eval(
+        query.with_head(sorted(query.variables, key=lambda v: v.name)), db
+    )
+    reduced = {
+        node: full.project(list(rels[node].attributes)).rows
+        for node in tree.nodes
+    }
+    return naive_join_eval(query, db).rows, bool(full), reduced
+
+
 class TestKernelEquivalence:
     """Direct join-tree level equivalence on acyclic families."""
 
@@ -90,22 +108,26 @@ class TestKernelEquivalence:
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
 
+        answers, truth, naive_reduced = _oracle(query, db, tree, rels)
         seq_bool = boolean_eval(tree, dict(rels))
         seq_reduced = full_reduce(tree, dict(rels))
         seq_answers = enumerate_answers(tree, dict(rels), output)
+        assert seq_bool == truth
+        assert seq_answers.rows == answers
+        for node in tree.nodes:
+            assert seq_reduced[node].rows == naive_reduced[node]
         for shards in SHARD_COUNTS:
+            counts = _counts(tree, shards)
             assert (
-                parallel_boolean_eval(tree, dict(rels), n_shards=shards)
+                boolean_eval(tree, dict(rels), shard_counts=counts)
                 == seq_bool
             )
-            par_reduced = parallel_full_reduce(
-                tree, dict(rels), n_shards=shards
-            )
+            par_reduced = full_reduce(tree, dict(rels), shard_counts=counts)
             for node in tree.nodes:
                 assert par_reduced[node].rows == seq_reduced[node].rows
             assert (
-                parallel_enumerate_answers(
-                    tree, dict(rels), output, n_shards=shards
+                enumerate_answers(
+                    tree, dict(rels), output, shard_counts=counts
                 ).rows
                 == seq_answers.rows
             )
@@ -123,16 +145,20 @@ class TestKernelEquivalence:
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
 
+        answers, truth, _ = _oracle(query, db, tree, rels)
         seq_answers = enumerate_answers(tree, dict(rels), output)
         seq_bool = boolean_eval(tree, dict(rels))
+        assert seq_bool == truth
+        assert seq_answers.rows == answers
         for shards in SHARD_COUNTS:
+            counts = _counts(tree, shards)
             assert (
-                parallel_boolean_eval(tree, dict(rels), n_shards=shards)
+                boolean_eval(tree, dict(rels), shard_counts=counts)
                 == seq_bool
             )
             assert (
-                parallel_enumerate_answers(
-                    tree, dict(rels), output, n_shards=shards
+                enumerate_answers(
+                    tree, dict(rels), output, shard_counts=counts
                 ).rows
                 == seq_answers.rows
             )
@@ -150,13 +176,16 @@ class TestKernelEquivalence:
         db = random_database(query, domain, tuples, seed=seed)
         tree, rels = _tree_and_relations(query, db)
 
+        _, _, naive_reduced = _oracle(query, db, tree, rels)
         once = full_reduce(tree, dict(rels))
         twice = full_reduce(tree, dict(once))
         for node in tree.nodes:
+            assert once[node].rows == naive_reduced[node]
             assert twice[node].rows == once[node].rows
 
-        par_once = parallel_full_reduce(tree, dict(rels), n_shards=shards)
-        par_twice = parallel_full_reduce(tree, dict(par_once), n_shards=shards)
+        counts = _counts(tree, shards)
+        par_once = full_reduce(tree, dict(rels), shard_counts=counts)
+        par_twice = full_reduce(tree, dict(par_once), shard_counts=counts)
         for node in tree.nodes:
             assert par_once[node].rows == once[node].rows
             assert par_twice[node].rows == once[node].rows
@@ -182,26 +211,25 @@ class TestBackendEquivalence:
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
 
-        seq_bool = boolean_eval(tree, dict(rels))
-        seq_reduced = full_reduce(tree, dict(rels))
-        seq_answers = enumerate_answers(tree, dict(rels), output)
+        answers, truth, naive_reduced = _oracle(query, db, tree, rels)
         for shards in (2, 5):
+            counts = _counts(tree, shards)
             assert (
-                parallel_boolean_eval(
-                    tree, dict(rels), n_shards=shards, backend=ctx
+                boolean_eval(
+                    tree, dict(rels), backend=ctx, shard_counts=counts
                 )
-                == seq_bool
+                == truth
             )
-            par_reduced = parallel_full_reduce(
-                tree, dict(rels), n_shards=shards, backend=ctx
+            par_reduced = full_reduce(
+                tree, dict(rels), backend=ctx, shard_counts=counts
             )
             for node in tree.nodes:
-                assert par_reduced[node].rows == seq_reduced[node].rows
+                assert par_reduced[node].rows == naive_reduced[node]
             assert (
-                parallel_enumerate_answers(
-                    tree, dict(rels), output, n_shards=shards, backend=ctx
+                enumerate_answers(
+                    tree, dict(rels), output, backend=ctx, shard_counts=counts
                 ).rows
-                == seq_answers.rows
+                == answers
             )
 
     @settings(max_examples=8, deadline=None)
@@ -218,17 +246,17 @@ class TestBackendEquivalence:
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
 
-        seq_bool = boolean_eval(tree, dict(rels))
-        seq_answers = enumerate_answers(tree, dict(rels), output)
+        answers, truth, _ = _oracle(query, db, tree, rels)
+        counts = _counts(tree, 3)
         assert (
-            parallel_boolean_eval(tree, dict(rels), n_shards=3, backend=ctx)
-            == seq_bool
+            boolean_eval(tree, dict(rels), backend=ctx, shard_counts=counts)
+            == truth
         )
         assert (
-            parallel_enumerate_answers(
-                tree, dict(rels), output, n_shards=3, backend=ctx
+            enumerate_answers(
+                tree, dict(rels), output, backend=ctx, shard_counts=counts
             ).rows
-            == seq_answers.rows
+            == answers
         )
 
     def test_skewed_database_all_passes(self, contexts, kind):
@@ -244,9 +272,11 @@ class TestBackendEquivalence:
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
         seq_answers = enumerate_answers(tree, dict(rels), output)
+        assert seq_answers.rows == naive_join_eval(query, db).rows
         assert (
-            parallel_enumerate_answers(
-                tree, dict(rels), output, n_shards=4, backend=ctx
+            enumerate_answers(
+                tree, dict(rels), output, backend=ctx,
+                shard_counts=_counts(tree, 4),
             ).rows
             == seq_answers.rows
         )
@@ -258,6 +288,7 @@ class TestBackendEquivalence:
         query = _with_head(cycle_query(4))
         db = random_database(query, 6, 40, seed=11, plant_answer=True)
         seq = Engine(mode="heuristic").execute(query, db)
+        assert seq.answer.rows == naive_join_eval(query, db).rows
         with Engine(
             mode="heuristic", backend=kind, backend_workers=2,
             shard_threshold=0,
@@ -282,6 +313,7 @@ class TestEngineEquivalence:
         query = _with_head(cycle_query(4))
         db = random_database(query, domain, tuples, seed=seed)
         seq = Engine(mode="heuristic", backend="sequential").execute(query, db)
+        assert seq.answer.rows == naive_join_eval(query, db).rows
         for shards in (2, 7):
             par = Engine(
                 mode="heuristic",
@@ -302,6 +334,7 @@ class TestEngineEquivalence:
         query = _with_head(path_query(3))
         db = random_database(query, domain, tuples, seed=seed)
         seq = Engine(mode="heuristic", backend="sequential").execute(query, db)
+        assert seq.answer.rows == naive_join_eval(query, db).rows
         for shards in (2, 7):
             par = Engine(
                 mode="heuristic",

@@ -115,14 +115,18 @@ class TestOperations:
         assert out.rows == r.project(["a"]).rows
 
     def test_operations_accept_a_pool(self, r, s):
+        """A caller-owned executor runs shard tasks via a non-owning
+        ThreadBackend."""
         with ThreadPoolExecutor(max_workers=4) as pool:
+            backend = ThreadBackend(pool=pool)
             sh = ShardedRelation.shard(r, "b", 4)
             assert (
-                sh.semijoin(s, pool=pool).to_relation().rows
+                sh.semijoin(s, backend=backend).to_relation().rows
                 == r.semijoin(s).rows
             )
             assert (
-                sh.join(s, pool=pool).to_relation().rows == r.join(s).rows
+                sh.join(s, backend=backend).to_relation().rows
+                == r.join(s).rows
             )
 
     def test_operations_accept_a_backend(self, r, s):

@@ -104,11 +104,20 @@ class TestEnumerate:
         assert out.rows == {()}
 
     def test_unknown_output_attribute_rejected(self):
+        """The output check runs before any sweep, sharded or not."""
         q, db, jt, bound = _setup(
             "r(X, Y), s(Y, Z)", {"r": [(1, 2)], "s": [(2, 3)]}
         )
+        stats = EvalStats()
         with pytest.raises(ValueError):
-            enumerate_answers(jt, bound.relations, ("NOPE",))
+            enumerate_answers(jt, bound.relations, ("NOPE",), stats)
+        assert stats.semijoins == 0
+        with pytest.raises(ValueError):
+            enumerate_answers(
+                jt, bound.relations, ("NOPE",), stats,
+                shard_counts={node: 2 for node in jt.nodes},
+            )
+        assert stats.semijoins == 0
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2_000), tuples=st.integers(1, 25))

@@ -18,7 +18,9 @@ from repro.core.atoms import Atom, Variable
 from repro.core.hypertree import HypertreeDecomposition, node
 from repro.core.parser import parse_query
 from repro.core.query import ConjunctiveQuery
+from repro.csp import from_query, solve_via_decomposition
 from repro.db.database import Database
+from repro.db.evaluate import evaluate, evaluate_boolean
 from repro.db.naive import naive_join_eval
 from repro.db.stats import EvalStats
 from repro.engine import Engine, compile_plan, execute_plan
@@ -81,6 +83,32 @@ class TestCyclicBagsStaySmall:
             result = engine.execute(query, db, stats=stats)
         assert stats.max_intermediate <= 3_000
         assert result.answer.rows == naive_join_eval(query, db).rows
+
+    def test_evaluate_and_csp_route_through_the_plan(self):
+        """``evaluate``, ``evaluate_boolean`` and the CSP solver compile
+        the ``hypertree_width`` decomposition through the engine, so the
+        repair reaches them too (without it: 88,804 rows on this graph)."""
+        db = regular_graph(100, 3, seed=12)
+        query = parse_query(CYCLE5)
+        naive = naive_join_eval(query, db)
+
+        stats = EvalStats()
+        answer = evaluate(query, db, method="decomposition", stats=stats)
+        assert stats.max_intermediate <= 3_000
+        assert answer.rows == naive.rows
+
+        stats = EvalStats()
+        truth = evaluate_boolean(
+            query, db, method="decomposition", stats=stats
+        )
+        assert stats.max_intermediate <= 3_000
+        assert truth == bool(naive)
+
+        csp = from_query(query, db)
+        stats = EvalStats()
+        solution = solve_via_decomposition(csp, stats=stats)
+        assert stats.max_intermediate <= 3_000
+        assert solution is not None and csp.check(solution)
 
 
 class TestRepair:
